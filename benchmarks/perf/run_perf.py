@@ -950,7 +950,7 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
         # The schedule is keyed by per-worker served *jobs*; max_batch=1
         # keeps jobs == requests, and halving the per-worker share keeps
         # every kill ordinal inside the burst even when re-dispatches skew
-        # the round-robin split.
+        # the per-worker split.
         horizon=max(2, requests // (2 * workers)),
         kills_per_worker=1,
     )

@@ -14,12 +14,12 @@ package exploits that:
   ``max_batch`` / ``max_wait_ms``) into one batched forward, trading a few
   milliseconds of queueing delay for much higher throughput.
 * :class:`ServingCluster` replicates the frozen kernel across worker
-  processes (shared-memory request rings, per-worker micro-batching, an
-  asyncio front door) for multi-core throughput on one host — with a
+  processes (shared-memory request regions, one micro-batching queue that
+  idle workers pull from, an asyncio front door) for multi-core throughput on one host — with a
   supervisor that respawns dead workers (exponential backoff, crash-loop
   circuit breaker), per-request deadlines and a bounded admission
   watermark (typed :class:`Overloaded` / :class:`DeadlineExceeded`
-  shedding), CRC-checked response rings, and a deterministic
+  shedding), CRC-checked responses, and a deterministic
   :class:`FaultPlan` chaos harness (:mod:`repro.serve.faults`).
 * :mod:`repro.serve.online` adds the stateful half: per-client
   :class:`StreamingSession` history rings behind a :class:`SessionManager`,

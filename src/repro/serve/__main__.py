@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes; >1 replicates the frozen kernel "
                              "across a same-host ServingCluster (shared-memory "
-                             "request rings, one micro-batcher per worker)")
+                             "request regions, one queue that idle workers pull from)")
     parser.add_argument("--max-batch", type=int, default=8,
                         help="micro-batching: largest coalesced batch")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "shed before it reaches the kernel")
     parser.add_argument("--max-pending", type=int, default=None,
                         help="admission control: per-worker pending-queue "
-                             "watermark; beyond it new requests are rejected "
+                             "watermark (the queue holds this many requests per "
+                             "worker); beyond it new requests are rejected "
                              "with a typed Overloaded error instead of queueing")
     parser.add_argument("--no-freeze", action="store_true",
                         help="re-derive the graph on every request (debugging only)")

@@ -1,11 +1,17 @@
 """Micro-batching request queue for the forecast service.
 
-Concurrent clients each submit a single history window; a background worker
-drains the queue, coalescing up to ``max_batch`` requests (waiting at most
-``max_wait_ms`` for stragglers after the first request arrives) and runs
-**one** batched forward for the whole group.  Batched inference amortises
-the per-call graph-convolution overhead, so throughput grows with batch
-size while each request pays at most ``max_wait_ms`` of queueing delay.
+Concurrent clients each submit a single history window into **one** queue.
+Consumer threads — one per predict function — pull from it: a free
+consumer coalesces queued requests (up to ``max_batch``) and runs **one**
+batched forward for the whole group.  Batched inference amortises the
+per-call graph-convolution overhead, so throughput grows with batch size.
+
+In-process serving has a single consumer, which waits at most
+``max_wait_ms`` for stragglers after the first request of a batch.  The
+serving cluster passes one predict function per worker process: a worker
+takes the next batch only when it is idle, and takes at most an even share
+of the queue, so no request waits behind a busy worker while another one
+is free or about to be.
 """
 
 from __future__ import annotations
@@ -15,9 +21,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+
+PredictFn = Callable[[np.ndarray], np.ndarray]
 
 _SHUTDOWN = object()
 
@@ -27,32 +35,31 @@ class Overloaded(RuntimeError):
 
     Typed rejection is admission control: under overload the server sheds
     new work immediately instead of queueing it unboundedly and serving it
-    long after its deadline.  Callers can catch this and retry elsewhere
-    (the cluster fails over to a less-loaded worker) or surface it.
+    long after its deadline.  Callers can catch this and retry later or
+    surface it.
     """
 
 
 class DeadlineExceeded(RuntimeError):
     """Set on a future whose request expired before its batch ran.
 
-    The batching worker sheds expired requests *before* the kernel
-    forward, so a deadline miss costs a queue pop, never a wasted
-    inference.
+    The batcher sheds expired requests *before* the kernel forward, so a
+    deadline miss costs a queue pop, never a wasted inference.
     """
 
 
 @dataclass
 class BatchStats:
-    """Running counters of the batching worker (O(1) memory, server-lifetime safe).
+    """Running counters of a batcher (O(1) memory, server-lifetime safe).
 
     Batches whose forward raised are counted too (in ``num_batches`` /
     ``num_requests`` as well as ``num_failed_batches``), so the counters
-    reflect every batch the worker actually formed, not just the lucky ones.
+    reflect every batch actually formed, not just the lucky ones.
 
-    :meth:`record` is lock-guarded: the counters are fed from the batching
-    worker thread but read (and, in multi-batcher setups like the serving
-    cluster, merged) from arbitrary threads, and the read-modify-write
-    increments would otherwise race and undercount.
+    :meth:`record` is lock-guarded: the counters are fed from the consumer
+    threads but read (and, in the serving cluster, merged) from arbitrary
+    threads, and the read-modify-write increments would otherwise race and
+    undercount.
     """
 
     num_requests: int = 0
@@ -111,13 +118,19 @@ class MicroBatcher:
     predict_fn:
         Batched inference function mapping ``(B, h, N, C)`` histories to
         ``(B, f, N, 1)`` predictions — typically
-        :meth:`repro.serve.ForecastService.predict`.
+        :meth:`repro.serve.ForecastService.predict` — or a list/tuple of
+        them.  Each function gets its own consumer thread, which forms the
+        next batch from the shared queue only once its previous batch has
+        returned, so work goes to whichever function is free.
     max_batch:
         Largest batch one forward may serve.
     max_wait_ms:
-        How long the worker waits for additional requests after the first
+        How long the consumer waits for additional requests after the first
         one of a batch arrives.  ``0`` disables coalescing delay (batches
-        only form from already-queued requests).
+        only form from already-queued requests).  Applies to a single
+        consumer only: with several, each batch takes at most an even
+        share (``1/len(predict_fn)``) of the queued requests and none waits
+        for stragglers, because the next free consumer serves them at once.
     expected_channels:
         Total per-window channel width ``predict_fn`` expects (observation-
         mask channel *included* for mask-aware models).  When set, every
@@ -149,7 +162,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        predict_fn: Callable[[np.ndarray], np.ndarray],
+        predict_fn: PredictFn | Sequence[PredictFn],
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         expected_channels: int | None = None,
@@ -164,6 +177,10 @@ class MicroBatcher:
             raise ValueError("expected_channels must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        fns = (list(predict_fn) if isinstance(predict_fn, (list, tuple))
+               else [predict_fn])
+        if not fns:
+            raise ValueError("predict_fn must hold at least one function")
         self.predict_fn = predict_fn
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
@@ -173,20 +190,27 @@ class MicroBatcher:
         self.stats = BatchStats()
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
-        # Admitted-but-unresolved request count for the watermark.  Guarded
-        # by its own lock (not _lifecycle) so the worker thread can decrement
+        # Admitted requests not yet taken into a batch, for the watermark.
+        # Guarded by its own lock (not _lifecycle) so consumers can decrement
         # without contending with close().
         self._pending = 0
         self._pending_lock = threading.Lock()
         # Serialises submit() against close(): without it a thread could pass
         # the _closed check, lose the CPU while close() drains and joins the
-        # worker, and then land its window on a dead queue — a Future that
+        # consumers, and then land its window on a dead queue — a Future that
         # never resolves.  Under the lock a submission either wins (its item
-        # is enqueued *before* the shutdown sentinel, so the worker or the
-        # drain loop is guaranteed to resolve it) or deterministically raises.
+        # is enqueued *before* the shutdown sentinel, so a consumer is
+        # guaranteed to serve it) or deterministically raises.
         self._lifecycle = threading.Lock()
-        self._worker = threading.Thread(target=self._run, name="microbatcher", daemon=True)
-        self._worker.start()
+        # One batch forms at a time, taken by whichever consumer is free.
+        self._forming = threading.Lock()
+        self._consumers = [
+            threading.Thread(target=self._run, args=(fn,),
+                             name=f"microbatcher-{i}", daemon=True)
+            for i, fn in enumerate(fns)
+        ]
+        for consumer in self._consumers:
+            consumer.start()
 
     # ------------------------------------------------------------------ #
     # Client side
@@ -246,7 +270,7 @@ class MicroBatcher:
 
     @property
     def pending(self) -> int:
-        """Requests admitted but not yet resolved by the worker."""
+        """Requests admitted but not yet taken into a batch."""
         with self._pending_lock:
             return self._pending
 
@@ -280,18 +304,15 @@ class MicroBatcher:
         with self._lifecycle:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed MicroBatcher")
-            if self.max_pending is not None:
-                with self._pending_lock:
-                    if self._pending >= self.max_pending:
-                        self.stats.record_rejected()
-                        raise Overloaded(
-                            f"{self._pending} request(s) already pending "
-                            f"(watermark {self.max_pending}); shedding new work"
-                        )
-                    self._pending += 1
-            else:
-                with self._pending_lock:
-                    self._pending += 1
+            with self._pending_lock:
+                if (self.max_pending is not None
+                        and self._pending >= self.max_pending):
+                    self.stats.record_rejected()
+                    raise Overloaded(
+                        f"{self._pending} request(s) already pending "
+                        f"(watermark {self.max_pending}); shedding new work"
+                    )
+                self._pending += 1
             future: Future = Future()
             self._queue.put((window, future, deadline))
         return future
@@ -304,16 +325,17 @@ class MicroBatcher:
                            deadline_s=deadline_s).result(timeout=timeout)
 
     def close(self) -> None:
-        """Stop accepting requests, drain the queue and join the worker.
+        """Stop accepting requests, serve everything queued, join the consumers.
 
-        Safe to call from several threads: every caller joins the worker, so
-        no close() returns while the drain is still mutating stats.
+        Safe to call from several threads: every caller joins the
+        consumers, so no close() returns while a batch is still being served.
         """
         with self._lifecycle:
             if not self._closed:
                 self._closed = True
                 self._queue.put(_SHUTDOWN)
-        self._worker.join()
+        for consumer in self._consumers:
+            consumer.join()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -322,102 +344,85 @@ class MicroBatcher:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Worker side
+    # Consumer side
     # ------------------------------------------------------------------ #
-    def _collect(self, first) -> tuple[list, bool]:
-        """Grow a batch from ``first`` until full, timed out, or shut down."""
+    def _run(self, predict_fn) -> None:
+        while True:
+            with self._forming:
+                batch = self._take()
+            if not batch:
+                return
+            self._serve(predict_fn, batch)
+
+    def _take(self) -> list:
+        """Block for the next batch; empty once the shutdown sentinel is seen.
+
+        Every request was enqueued before the sentinel (see ``_lifecycle``),
+        so the queue is drained by the time a consumer meets it.  The
+        sentinel is put back for the next consumer.
+        """
+        first = self._queue.get()
+        if first is _SHUTDOWN:
+            self._queue.put(_SHUTDOWN)
+            return []
+        limit = self.max_batch
+        consumers = len(self._consumers)
+        if consumers > 1:
+            # Take at most an even share of what is queued and wait for no
+            # stragglers: the next free consumer serves the rest, so one
+            # consumer never hoards a backlog while a peer frees up idle.
+            limit = min(limit, -(-(1 + self._queue.qsize()) // consumers))
         batch = [first]
         deadline = time.monotonic() + self.max_wait_ms / 1000.0
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
+        while len(batch) < limit:
             try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
+                item = self._queue.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
-                return batch, True
+                self._queue.put(_SHUTDOWN)
+                break
             batch.append(item)
-        return batch, False
-
-    def _retire(self, count: int) -> None:
         with self._pending_lock:
-            self._pending -= count
+            self._pending -= len(batch)
+        return batch
 
-    def _run(self) -> None:
-        shutdown = False
-        while not shutdown:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                break
-            batch, shutdown = self._collect(item)
-            self._retire(len(batch))
-            # Claim every future before the forward: a client that cancelled
-            # while queued must be skipped — set_result/set_exception on a
+    def _serve(self, predict_fn, batch: list) -> None:
+        """Run one formed batch through ``predict_fn`` and resolve its futures."""
+        live = []
+        expired = 0
+        now = time.monotonic()
+        for window, future, deadline in batch:
+            # Claim every future before the forward: one cancelled while
+            # queued must be skipped — set_result/set_exception on a
             # CANCELLED future raises InvalidStateError, which would kill
-            # this worker thread and hang every later submission.  After a
-            # successful claim the future is RUNNING and can no longer be
-            # cancelled, so the resolution below is race-free.
-            live = [
-                (window, future, deadline) for window, future, deadline in batch
-                if future.set_running_or_notify_cancel()
-            ]
-            # Shed expired requests before the forward: a deadline miss must
-            # never cost a kernel inference on an answer nobody is waiting for.
-            now = time.monotonic()
-            expired = [
-                (window, future) for window, future, deadline in live
-                if deadline is not None and now > deadline
-            ]
-            for _, future in expired:
-                future.set_exception(DeadlineExceeded(
-                    "request deadline expired while queued; the batch was "
-                    "shed before running the kernel"
-                ))
-            if expired:
-                self.stats.record_expired(len(expired))
-            live = [
-                (window, future) for window, future, deadline in live
-                if deadline is None or now <= deadline
-            ]
-            if not live:
-                continue
-            futures = [future for _, future in live]
-            try:
-                windows = np.stack([window for window, _ in live])
-                predictions = self.predict_fn(windows)
-            except Exception as error:  # propagate to every waiting client
-                for future in futures:
-                    future.set_exception(error)
-                self.stats.record(len(live), failed=True)
-                continue
-            for i, future in enumerate(futures):
-                future.set_result(predictions[i])
-            self.stats.record(len(live))
-        # Drain anything still queued after shutdown so no client hangs.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                continue
-            window, future, deadline = item
-            self._retire(1)
+            # this consumer and hang every later submission.  A claimed
+            # future is RUNNING and can no longer be cancelled.
             if not future.set_running_or_notify_cancel():
-                continue  # cancelled while queued
-            if deadline is not None and time.monotonic() > deadline:
+                continue
+            # Shed expired requests before the forward: a deadline miss must
+            # never cost a kernel inference on an answer nobody awaits.
+            if deadline is not None and now > deadline:
                 future.set_exception(DeadlineExceeded(
                     "request deadline expired while queued; the batch was "
                     "shed before running the kernel"
                 ))
-                self.stats.record_expired()
-                continue
-            try:
-                future.set_result(self.predict_fn(window[None])[0])
-                self.stats.record(1)
-            except Exception as error:
+                expired += 1
+            else:
+                live.append((window, future))
+        if expired:
+            self.stats.record_expired(expired)
+        if not live:
+            return
+        try:
+            predictions = predict_fn(np.stack([window for window, _ in live]))
+        except Exception as error:  # propagate to every waiting client
+            self.stats.record(len(live), failed=True)
+            for _, future in live:
                 future.set_exception(error)
-                self.stats.record(1, failed=True)
+            return
+        self.stats.record(len(live))
+        for i, (_, future) in enumerate(live):
+            future.set_result(predictions[i])

@@ -8,44 +8,46 @@ from the **same** checkpoint bundle (every replica is bit-identically the
 same forecaster — the bundle carries config, parameters, SNS candidates and
 the frozen index set), and fans requests over them:
 
-* **Shared-memory ring buffers** — each worker owns a request ring and a
-  response ring backed by :mod:`multiprocessing.shared_memory`, sized
-  ``slots × max_batch`` windows/predictions.  ``(B, h, N, C)`` batches cross
-  the process boundary as raw buffer copies; only a tiny ``(seq, slot,
-  batch)`` header travels over the control pipe, so nothing is ever pickled
-  on the hot path.  Every response carries a CRC-32 of its ring slot, so a
-  corrupted copy is a typed :class:`RingCorruptionError`, never a silently
-  wrong forecast.
-* **Per-worker micro-batching** — the front door routes each submitted
-  window round-robin into one :class:`~repro.serve.MicroBatcher` per worker,
-  so request coalescing (and its amortisation of per-forward overhead)
-  happens exactly as in single-process serving, once per replica.
+* **Shared-memory windows** — each worker owns one request region and one
+  response region backed by :mod:`multiprocessing.shared_memory`, each
+  sized for ``max_batch`` windows/predictions.  ``(B, h, N, C)`` batches
+  cross the process boundary as raw buffer copies; only a tiny ``("job",
+  batch)`` header travels over the control pipe, so nothing is ever
+  pickled on the hot path.  Every response carries a CRC-32 of its region,
+  so a corrupted copy is a typed :class:`RingCorruptionError`, never a
+  silently wrong forecast.
+* **One queue, work-pulling workers** — every submitted window enters one
+  :class:`~repro.serve.MicroBatcher`, which runs one consumer thread per
+  worker.  A consumer forms the next batch only when its worker is idle,
+  and takes at most an even share of the queue, so no request waits
+  behind a busy or dead worker while a peer is free or about to be.
 * **An asyncio front door** — :meth:`submit` returns a
   :class:`concurrent.futures.Future`; :meth:`predict_async` /
   :meth:`serve_async` wrap them for ``await``-style fan-out/gather.
-* **Liveness and supervision** — workers heartbeat over the control pipe
-  and exit when the parent disappears; the front door detects a dead
-  worker mid-batch (pipe EOF, process exit, or request timeout),
-  re-dispatches the batch at most once to a live peer (never when the
-  batch may have executed — at-most-once), and otherwise fails the
-  batch's futures with a descriptive :class:`WorkerDiedError` — pending
-  futures never hang.  A supervisor thread respawns dead workers from the
-  bundle with exponential backoff; a crash-looping worker (``max_crash_loop``
-  rapid failures) is *parked* and the cluster degrades to the surviving
-  pool.  :meth:`health` reports the whole picture as a structured
-  :class:`ClusterHealth` snapshot.
+* **Liveness and supervision** — every message a worker sends (an idle
+  heartbeat or a reply) proves it alive, and a worker exits when the parent
+  disappears; the front door detects a dead worker mid-batch (pipe EOF,
+  process exit, or request timeout), re-dispatches the batch at most once
+  to a live peer (never when the batch may have executed — at-most-once),
+  and otherwise fails the batch's futures with a descriptive
+  :class:`ClusterError` — pending futures never hang.  A supervisor thread
+  respawns dead workers from the bundle with exponential backoff; a
+  crash-looping worker (``max_crash_loop`` rapid failures) is *parked* and
+  the cluster degrades to the surviving pool.  :meth:`health` reports the
+  whole picture as a structured :class:`ClusterHealth` snapshot.
 * **Admission control** — ``submit(..., deadline_s=)`` sheds requests whose
   deadline expires while queued *before* they reach a kernel, and
-  ``max_pending`` bounds each worker's queue, rejecting excess work with a
-  typed :class:`~repro.serve.batching.Overloaded` error (after trying every
-  live worker) instead of queueing unboundedly.
+  ``max_pending`` (per worker) bounds the queue at ``max_pending × workers``
+  requests, rejecting excess work with a typed
+  :class:`~repro.serve.batching.Overloaded` error instead of queueing
+  unboundedly.
 * **Deterministic fault injection** — a seeded
   :class:`~repro.serve.faults.FaultPlan` schedules worker kills, stalls,
-  ring corruption and slow batches at exact job ordinals, so chaos
+  response corruption and slow batches at exact job ordinals, so chaos
   scenarios replay identically run after run.  The default is a no-op.
 
 Shared-memory transport is **same-host only**: workers must run on the
-machine that created the rings.  The pool replicates the full graph for
+machine that created the regions.  The pool replicates the full graph for
 throughput; sharding a huge graph across nodes is a separate axis.
 
 Typical use::
@@ -72,12 +74,13 @@ import traceback
 import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
-from repro.serve.batching import BatchStats, MicroBatcher, Overloaded
+from repro.serve.batching import BatchStats, MicroBatcher
 from repro.serve.faults import FaultInjector, FaultPlan, corrupt_ring_slot
 from repro.utils.checkpoint import load_bundle
 
@@ -113,7 +116,7 @@ class WorkerDiedError(ClusterError):
 
 
 class RingCorruptionError(ClusterError):
-    """A response failed its ring CRC check — the shared-memory copy is bad.
+    """A response failed its CRC check — the shared-memory copy is bad.
 
     The request *did* execute (the worker computed and checksummed a real
     prediction), so it is never re-dispatched; the caller sees the typed
@@ -132,7 +135,7 @@ class WorkerHealth:
     consecutive_failures: int
     backoff_remaining_s: float
     heartbeat_age_s: float | None
-    pending: int
+    pending: int  # requests in the batch the worker is serving
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +163,7 @@ class ClusterHealth:
     total_restarts: int
     redispatches: int
     generation: int
-    pending: int
+    pending: int  # requests queued, not yet taken into a batch
     workers: list
 
     @property
@@ -185,8 +188,8 @@ class ClusterHealth:
 def _geometry(config: dict, dtype: str) -> tuple[tuple, tuple, np.dtype]:
     """Window/prediction shapes and dtype of one request, from a bundle config.
 
-    The parent sizes both shared-memory rings from the config alone —
-    workers are spawned only after the rings exist, so their names can be
+    The parent sizes both shared-memory regions from the config alone —
+    workers are spawned only after the regions exist, so their names can be
     handed over at start-up.
     """
     try:
@@ -198,7 +201,7 @@ def _geometry(config: dict, dtype: str) -> tuple[tuple, tuple, np.dtype]:
         raise ClusterError(
             "bundle config is missing the request-geometry fields "
             "(history/num_nodes/horizon/input_dim); cluster workers cannot "
-            "size their shared-memory rings"
+            "size their shared-memory regions"
         ) from error
     output_dim = int(config.get("output_dim", 1) or 1)
     exog_dim = int(config.get("exog_dim", 0) or 0)
@@ -216,7 +219,6 @@ def _worker_main(
     conn,
     request_name: str,
     response_name: str,
-    slots: int,
     max_batch: int,
     window_shape: tuple,
     prediction_shape: tuple,
@@ -225,7 +227,7 @@ def _worker_main(
     service_kwargs: dict,
     fault_schedule: dict | None = None,
 ) -> None:
-    """Worker process: rehydrate the bundle once, then serve ring batches.
+    """Worker process: rehydrate the bundle once, then serve shared-memory batches.
 
     Exits on a ``stop`` message, on control-pipe EOF, or when the parent
     process disappears between heartbeats — an orphaned worker must never
@@ -234,7 +236,7 @@ def _worker_main(
     ``fault_schedule`` (``{job_ordinal: FaultEvent}``) drives deterministic
     chaos: a scheduled *kill* SIGKILLs the process before serving that job,
     *stall*/*slow* sleep before the forward, and *corrupt* overwrites the
-    response ring slot after the CRC was computed, so the parent observes a
+    response region after the CRC was computed, so the parent observes a
     checksum mismatch.  ``None`` (production) injects nothing.
     """
     request_shm = response_shm = None
@@ -248,17 +250,13 @@ def _worker_main(
         dtype = np.dtype(dtype_str)
         # Attach-only: ownership (and the unlink) stays with the parent.
         # The resource tracker is shared with the parent under spawn, so
-        # the child must neither unlink nor unregister the rings.
+        # the child must neither unlink nor unregister the regions.
         request_shm = shared_memory.SharedMemory(name=request_name)
         response_shm = shared_memory.SharedMemory(name=response_name)
-        requests = np.ndarray(
-            (slots, max_batch) + tuple(window_shape), dtype=dtype,
-            buffer=request_shm.buf,
-        )
-        responses = np.ndarray(
-            (slots, max_batch) + tuple(prediction_shape), dtype=dtype,
-            buffer=response_shm.buf,
-        )
+        requests = np.ndarray((max_batch,) + tuple(window_shape), dtype=dtype,
+                              buffer=request_shm.buf)
+        responses = np.ndarray((max_batch,) + tuple(prediction_shape),
+                               dtype=dtype, buffer=response_shm.buf)
         injector = FaultInjector(fault_schedule)
         conn.send(("ready", os.getpid()))
     except Exception:
@@ -277,7 +275,7 @@ def _worker_main(
                 if not conn.poll(heartbeat_interval_s):
                     if parent is not None and not parent.is_alive():
                         break  # orphaned
-                    conn.send(("hb", time.monotonic()))
+                    conn.send(("hb",))
                     continue
                 message = conn.recv()
             except (EOFError, BrokenPipeError, OSError):
@@ -285,49 +283,38 @@ def _worker_main(
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "ping":
-                conn.send(("hb", time.monotonic()))
-                continue
             if kind == "swap":
                 # Drift hot-swap.  The message loop is serial, so any batch
                 # dispatched before this message has already completed on
                 # the old generation — the old kernel drains, it is never
                 # interrupted.  Control-plane pickling of the index set is
                 # fine: swaps are rare and tiny compared to request batches.
-                _, seq, index_set = message
                 try:
                     generation = service.swap_index_set(
-                        np.asarray(index_set, dtype=np.int64)
+                        np.asarray(message[1], dtype=np.int64)
                     )
-                    reply = ("swapped", seq, int(generation))
+                    reply = ("swapped", int(generation))
                 except Exception:
-                    reply = ("err", seq, traceback.format_exc(limit=8))
+                    reply = ("err", traceback.format_exc(limit=8))
+            else:
+                batch = message[1]
+                event = injector.next_event()
+                if event is not None and event.kind == "kill":
+                    # Scheduled chaos: die exactly as a crashed worker would
+                    # — no reply, no cleanup, SIGKILL semantics.
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if event is not None and event.kind in ("stall", "slow"):
+                    # A stall also starves the heartbeat: the worker is
+                    # wedged before the forward, exactly like a hung kernel.
+                    time.sleep(event.duration_s)
                 try:
-                    conn.send(reply)
-                except (BrokenPipeError, OSError):
-                    break
-                continue
-            _, seq, slot, batch = message
-            event = injector.next_event()
-            if event is not None and event.kind == "kill":
-                # Scheduled chaos: die exactly as a crashed worker would —
-                # no reply, no cleanup, SIGKILL semantics.
-                os.kill(os.getpid(), signal.SIGKILL)
-            if event is not None and event.kind in ("stall", "slow"):
-                # A stall also starves the heartbeat: the worker is wedged
-                # before the forward, exactly like a hung kernel.
-                time.sleep(event.duration_s)
-            try:
-                predictions = service.predict(requests[slot, :batch])
-                responses[slot, :batch] = predictions
-                checksum = zlib.crc32(
-                    np.ascontiguousarray(responses[slot, :batch]).tobytes()
-                )
-                if event is not None and event.kind == "corrupt":
-                    corrupt_ring_slot(responses[slot, :batch])
-                reply = ("ok", seq, slot, batch, checksum)
-            except Exception:
-                reply = ("err", seq, traceback.format_exc(limit=8))
+                    responses[:batch] = service.predict(requests[:batch])
+                    checksum = zlib.crc32(responses[:batch])
+                    if event is not None and event.kind == "corrupt":
+                        corrupt_ring_slot(responses[:batch])
+                    reply = ("ok", checksum)
+                except Exception:
+                    reply = ("err", traceback.format_exc(limit=8))
             try:
                 conn.send(reply)
             except (BrokenPipeError, OSError):
@@ -339,26 +326,23 @@ def _worker_main(
 
 
 class _WorkerChannel:
-    """Parent-side handle of one worker: rings, control pipe, liveness."""
+    """Parent-side handle of one worker: shared memory, control pipe, liveness."""
 
-    def __init__(self, worker_id: int, ctx, bundle_path: str, slots: int,
-                 max_batch: int, window_shape: tuple, prediction_shape: tuple,
+    def __init__(self, worker_id: int, ctx, bundle_path: str, max_batch: int,
+                 window_shape: tuple, prediction_shape: tuple,
                  dtype: np.dtype, request_timeout_s: float,
                  heartbeat_interval_s: float, blas_threads: int | None,
                  service_kwargs: dict, fault_schedule: dict | None = None):
         self.worker_id = worker_id
-        self.slots = slots
         self.max_batch = max_batch
         self.request_timeout_s = request_timeout_s
         self.alive = False
         self.last_heartbeat: float | None = None
-        self._seq = 0
+        self.inflight = 0  # requests of the batch the worker is serving
+        self.stats = BatchStats()  # batches this worker executed
+        # Held across each round-trip: one message is in flight per worker,
+        # so the reply that arrives always answers the message just sent.
         self._dispatch_lock = threading.Lock()
-        self.batcher: MicroBatcher | None = None  # wired by the cluster
-        # Optional instrumentation: called as trace("dispatch"|"complete",
-        # seq, slot, batch) around every ring round-trip.  Tests use it to
-        # assert the no-slot-reuse-while-unread invariant under wraparound.
-        self.trace = None
         # Spawn parameters kept for supervised respawn.
         self._ctx = ctx
         self._bundle_path = str(bundle_path)
@@ -376,9 +360,9 @@ class _WorkerChannel:
         self.started_at: float | None = None
 
         # Partial-creation cleanup: if anything past the first allocation
-        # fails (the second ring, the pipe, the spawn itself), release what
-        # exists before re-raising — a failed worker slot must never leak
-        # shared-memory segments or a half-started process.
+        # fails (the second region, the pipe, the spawn itself), release
+        # what exists before re-raising — a failed worker slot must never
+        # leak shared-memory segments or a half-started process.
         self.request_shm = self.response_shm = None
         self.conn = None
         self.process = None
@@ -386,17 +370,17 @@ class _WorkerChannel:
             window_bytes = int(np.prod(window_shape)) * dtype.itemsize
             prediction_bytes = int(np.prod(prediction_shape)) * dtype.itemsize
             self.request_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, slots * max_batch * window_bytes)
+                create=True, size=max(1, max_batch * window_bytes)
             )
             self.response_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, slots * max_batch * prediction_bytes)
+                create=True, size=max(1, max_batch * prediction_bytes)
             )
             self.request_view = np.ndarray(
-                (slots, max_batch) + tuple(window_shape), dtype=dtype,
+                (max_batch,) + tuple(window_shape), dtype=dtype,
                 buffer=self.request_shm.buf,
             )
             self.response_view = np.ndarray(
-                (slots, max_batch) + tuple(prediction_shape), dtype=dtype,
+                (max_batch,) + tuple(prediction_shape), dtype=dtype,
                 buffer=self.response_shm.buf,
             )
             self._spawn(fault_schedule)
@@ -434,7 +418,7 @@ class _WorkerChannel:
             name=f"repro-serve-worker-{self.worker_id}",
             args=(self.worker_id, self._bundle_path, child_conn,
                   self.request_shm.name, self.response_shm.name,
-                  self.slots, self.max_batch, self._window_shape,
+                  self.max_batch, self._window_shape,
                   self._prediction_shape, self._dtype.str,
                   self._heartbeat_interval_s, self._service_kwargs,
                   fault_schedule),
@@ -492,17 +476,14 @@ class _WorkerChannel:
                     f"(exitcode {self.process.exitcode})"
                 )
 
-    def _mark_dead(self) -> None:
-        self.alive = False
-
     def poll_liveness(self, heartbeat_timeout_s: float) -> bool:
         """Idle-path death detection; returns whether the worker is alive.
 
-        Non-blocking on the dispatch lock: a worker with a batch in flight
-        is policed by :meth:`predict`'s own timeout, so a busy channel is
-        simply reported as alive.  When idle, drains heartbeats (and any
-        stale replies of abandoned round-trips), then checks pipe EOF,
-        process exit, and heartbeat staleness.
+        Non-blocking on the dispatch lock: a worker with a round-trip in
+        flight is policed by :meth:`_roundtrip`'s own timeout, so a busy
+        channel is simply reported as alive.  When idle, drains heartbeats,
+        then checks pipe EOF, process exit, and how long the worker has
+        been silent.
         """
         if not self.alive:
             return False
@@ -511,187 +492,109 @@ class _WorkerChannel:
         try:
             try:
                 while self.conn.poll(0):
-                    message = self.conn.recv()
-                    if message[0] == "hb":
-                        self.last_heartbeat = time.monotonic()
-                    elif message[0] == "fatal":
-                        self._mark_dead()
-                        return False
-                    # stale ok/err replies of a timed-out dispatch are
-                    # dropped here so they never alias a later round-trip
-            except (EOFError, BrokenPipeError, OSError):
-                self._mark_dead()
-                return False
-            if not self.process.is_alive():
-                self._mark_dead()
-                return False
-            if (self.last_heartbeat is not None
-                    and time.monotonic() - self.last_heartbeat
+                    self.conn.recv()
+                    self.last_heartbeat = time.monotonic()
+            except (EOFError, OSError):
+                self.alive = False
+            if (not self.process.is_alive()
+                    or time.monotonic() - self.last_heartbeat
                     > heartbeat_timeout_s):
-                self._mark_dead()
-                return False
-            return True
+                self.alive = False
+            return self.alive
         finally:
             self._dispatch_lock.release()
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """One batched round-trip through the rings (serialised per worker)."""
+        """One batched round-trip: copy in, run, CRC check, copy out."""
+        # Fail fast instead of blocking on a lock a respawn may hold.
+        if not self.alive:
+            raise WorkerDiedError(f"worker {self.worker_id} is not alive")
         batch = windows.shape[0]
-        if batch > self.max_batch:
-            raise ClusterError(
-                f"batch of {batch} exceeds the ring slot capacity "
-                f"{self.max_batch}"
-            )
         with self._dispatch_lock:
-            if not self.alive:
-                raise WorkerDiedError(
-                    f"worker {self.worker_id} is not alive"
-                )
-            self._seq += 1
-            seq = self._seq
-            slot = seq % self.slots
-            if self.trace is not None:
-                self.trace("dispatch", seq, slot, batch)
-            self.request_view[slot, :batch] = windows  # dtype cast included
+            self.request_view[:batch] = windows  # dtype cast included
+            self.inflight = batch
             try:
-                self.conn.send(("job", seq, slot, batch))
-            except (BrokenPipeError, OSError) as error:
-                self._mark_dead()
-                raise WorkerDiedError(
-                    f"worker {self.worker_id} control pipe is closed"
-                ) from error
-            deadline = time.monotonic() + self.request_timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} did not answer within "
-                        f"{self.request_timeout_s:.0f} s (batch of {batch} "
-                        "in flight)",
-                        may_have_executed=True,
-                    )
-                if self.conn.poll(min(0.1, remaining)):
-                    try:
-                        message = self.conn.recv()
-                    except (EOFError, OSError) as error:
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} died mid-batch "
-                            "(control pipe EOF)"
-                        ) from error
-                    kind = message[0]
-                    if kind == "hb":
-                        self.last_heartbeat = message[1]
-                        continue
-                    if kind == "ok":
-                        _, r_seq, r_slot, r_batch, checksum = message
-                        if r_seq != seq:
-                            continue  # stale answer from a superseded dispatch
-                        result = np.array(
-                            self.response_view[r_slot, :r_batch], copy=True
-                        )
-                        actual = zlib.crc32(
-                            np.ascontiguousarray(result).tobytes()
-                        )
-                        if actual != checksum:
-                            raise RingCorruptionError(
-                                f"worker {self.worker_id} response failed its "
-                                f"ring CRC check (slot {r_slot}, batch "
-                                f"{r_batch}): the shared-memory copy is "
-                                "corrupt; the request executed and is not "
-                                "retried"
-                            )
-                        if self.trace is not None:
-                            self.trace("complete", seq, slot, batch)
-                        return result
-                    if kind == "err":
-                        _, r_seq, detail = message
-                        if r_seq != seq:
-                            continue
-                        raise RuntimeError(
-                            f"worker {self.worker_id} prediction failed:\n"
-                            f"{detail}"
-                        )
-                    if kind == "fatal":
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} aborted:\n{message[1]}"
-                        )
-                elif not self.process.is_alive():
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} died mid-batch "
-                        f"(exitcode {self.process.exitcode})"
-                    )
+                (checksum,) = self._roundtrip(("job", batch), "ok")
+            finally:
+                self.inflight = 0
+            result = np.array(self.response_view[:batch], copy=True)
+        intact = zlib.crc32(result) == checksum
+        self.stats.record(batch, failed=not intact)
+        if not intact:
+            raise RingCorruptionError(
+                f"worker {self.worker_id} response failed its CRC check "
+                f"(batch {batch}): the shared-memory copy is corrupt; the "
+                "request executed and is not retried"
+            )
+        return result
 
     def swap(self, index_set: np.ndarray) -> int:
         """Hot-swap this worker's frozen graph; returns its new generation.
 
         Serialised against :meth:`predict` by the dispatch lock, so the
-        swap message is only sent between batch round-trips — the worker
-        never sees it with one of *our* batches outstanding, and batches
-        dispatched by the micro-batcher before the swap complete on the old
-        generation (the worker processes its control pipe serially).
+        swap is only sent between batch round-trips and every batch
+        dispatched before it completes on the old generation.
         """
         with self._dispatch_lock:
-            if not self.alive:
-                raise WorkerDiedError(f"worker {self.worker_id} is not alive")
-            self._seq += 1
-            seq = self._seq
-            try:
-                self.conn.send(("swap", seq, np.asarray(index_set, dtype=np.int64)))
-            except (BrokenPipeError, OSError) as error:
-                self._mark_dead()
+            (generation,) = self._roundtrip(
+                ("swap", np.asarray(index_set, dtype=np.int64)), "swapped"
+            )
+        return int(generation)
+
+    def _roundtrip(self, message: tuple, expect: str) -> list:
+        """Send ``message`` and wait for its ``expect`` reply's payload.
+
+        The caller holds the dispatch lock.  Every message from the worker
+        proves it alive, so replies refresh the heartbeat as well: a worker
+        kept busy by back-to-back batches never has the idle time to send
+        ``hb``.  Process death (pipe closed or EOF, exit) raises
+        :class:`WorkerDiedError`; so does a timeout, flagged
+        ``may_have_executed`` because the late worker may still run it.
+        """
+        what = message[0]
+        if not self.alive:
+            raise WorkerDiedError(f"worker {self.worker_id} is not alive")
+        try:
+            self.conn.send(message)
+        except (EOFError, OSError) as error:
+            self.alive = False
+            raise WorkerDiedError(
+                f"worker {self.worker_id} control pipe is closed"
+            ) from error
+        deadline = time.monotonic() + self.request_timeout_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self.alive = False
                 raise WorkerDiedError(
-                    f"worker {self.worker_id} control pipe is closed"
-                ) from error
-            deadline = time.monotonic() + self.request_timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._mark_dead()
+                    f"worker {self.worker_id} did not answer its {what} "
+                    f"within {self.request_timeout_s:.0f} s",
+                    may_have_executed=True,
+                )
+            if not self.conn.poll(min(0.1, remaining)):
+                if not self.process.is_alive():
+                    self.alive = False
                     raise WorkerDiedError(
-                        f"worker {self.worker_id} did not acknowledge the "
-                        f"swap within {self.request_timeout_s:.0f} s",
-                        may_have_executed=True,
-                    )
-                if self.conn.poll(min(0.1, remaining)):
-                    try:
-                        message = self.conn.recv()
-                    except (EOFError, OSError) as error:
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} died mid-swap "
-                            "(control pipe EOF)"
-                        ) from error
-                    kind = message[0]
-                    if kind == "hb":
-                        self.last_heartbeat = message[1]
-                        continue
-                    if kind == "swapped":
-                        _, r_seq, generation = message
-                        if r_seq != seq:
-                            continue
-                        return int(generation)
-                    if kind == "err":
-                        _, r_seq, detail = message
-                        if r_seq != seq:
-                            continue
-                        raise RuntimeError(
-                            f"worker {self.worker_id} swap failed:\n{detail}"
-                        )
-                    if kind == "fatal":
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} aborted:\n{message[1]}"
-                        )
-                elif not self.process.is_alive():
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} died mid-swap "
+                        f"worker {self.worker_id} died mid-{what} "
                         f"(exitcode {self.process.exitcode})"
                     )
+                continue
+            try:
+                kind, *payload = self.conn.recv()
+            except (EOFError, OSError) as error:
+                self.alive = False
+                raise WorkerDiedError(
+                    f"worker {self.worker_id} died mid-{what} "
+                    "(control pipe EOF)"
+                ) from error
+            self.last_heartbeat = time.monotonic()
+            if kind == expect:
+                return payload
+            if kind == "err":
+                raise RuntimeError(
+                    f"worker {self.worker_id} {what} failed:\n{payload[0]}"
+                )
+            # "hb": the worker is alive; keep waiting for the reply.
 
     def _close_process(self, join_timeout_s: float = 10.0) -> None:
         """Stop the worker process and close the pipe (never raises)."""
@@ -713,12 +616,13 @@ class _WorkerChannel:
 
     def respawn(self, start_timeout_s: float,
                 fault_schedule: dict | None = None) -> None:
-        """Replace a dead worker with a fresh process on the same rings.
+        """Replace a dead worker with a fresh process on the same regions.
 
-        The rings are parent-owned and intact across a worker death, so the
-        replacement simply re-attaches to them.  Holding the dispatch lock
-        for the whole dispose-spawn-ready sequence keeps any concurrent
-        :meth:`predict` from observing a half-replaced channel.
+        The shared-memory regions are parent-owned and intact across a
+        worker death, so the replacement simply re-attaches to them.
+        Holding the dispatch lock for the whole dispose-spawn-ready sequence
+        keeps any concurrent :meth:`predict` from observing a half-replaced
+        channel.
         """
         with self._dispatch_lock:
             self.alive = False
@@ -727,7 +631,7 @@ class _WorkerChannel:
             self.wait_ready(start_timeout_s)
 
     def shutdown(self, join_timeout_s: float = 10.0) -> None:
-        """Stop the worker and release the rings (idempotent, never raises)."""
+        """Stop the worker and release its regions (idempotent, never raises)."""
         self.alive = False
         self._close_process(join_timeout_s)
         for shm in (self.request_shm, self.response_shm):
@@ -756,20 +660,18 @@ class ServingCluster:
         Number of worker processes.  Throughput scales with workers until
         the host runs out of cores.
     max_batch / max_wait_ms:
-        Per-worker micro-batching knobs (see :class:`MicroBatcher`); also
-        the ring-slot capacity, and the workspace size each worker pins.
-    slots:
-        Ring depth per worker.  Each worker has at most one batch in flight
-        today, but the ring keeps slot reuse away from the response copy
-        and leaves room for pipelined dispatch.
+        Micro-batching knobs of the cluster's one queue (see
+        :class:`MicroBatcher`; ``max_wait_ms`` only matters with one
+        worker); ``max_batch`` also sizes each worker's shared-memory
+        regions and the workspace each worker pins.
     request_timeout_s:
         Hard deadline for one batched round-trip; a worker that exceeds it
         is declared dead.  Its batch is *not* re-dispatched (the late
         worker may still complete the forward — at-most-once), unlike a
         batch lost to process death, which retries once on a live peer.
     heartbeat_interval_s:
-        Idle-worker heartbeat period; also how often an orphaned worker
-        checks that its parent still exists.
+        How long a worker may sit idle before it sends a heartbeat; also
+        how often an orphaned worker checks that its parent still exists.
     start_timeout_s:
         How long to wait for each worker's rehydrate-and-ready handshake.
     blas_threads:
@@ -784,8 +686,8 @@ class ServingCluster:
         every worker a clean interpreter (fresh BLAS pools, no inherited
         locks); ``"fork"`` starts faster but is unsafe under threads.
     supervise:
-        Run the supervisor thread (default).  ``False`` restores the
-        PR-8 behaviour: a dead worker permanently shrinks the pool.
+        Run the supervisor thread (default).  With ``False`` a dead worker
+        permanently shrinks the pool.
     supervise_interval_s:
         Supervisor polling period.
     restart_backoff_s / restart_backoff_ceiling_s:
@@ -799,14 +701,17 @@ class ServingCluster:
         surviving pool.  A worker that stays up longer than the window
         resets its failure count.
     heartbeat_timeout_s:
-        Idle heartbeat staleness beyond which the supervisor declares a
-        worker dead (a wedged-but-running process).  Defaults to
+        How long an idle worker may stay silent before the supervisor
+        declares it dead (a wedged-but-running process).  Every message a
+        worker sends counts — heartbeats and batch or swap replies alike —
+        so a worker busy with back-to-back batches stays live; a batch in
+        flight is policed by ``request_timeout_s`` instead.  Defaults to
         ``max(5 * heartbeat_interval_s, 5.0)``.
     max_pending:
-        Per-worker admission watermark forwarded to each
-        :class:`MicroBatcher`; :meth:`submit` tries every live worker and
-        raises :class:`~repro.serve.batching.Overloaded` when all are at
-        their watermark.  ``None`` keeps queues unbounded.
+        Per-worker admission watermark: the one queue admits up to
+        ``max_pending × workers`` requests not yet taken into a batch, and
+        :meth:`submit` raises :class:`~repro.serve.batching.Overloaded`
+        beyond that.  ``None`` keeps the queue unbounded.
     fault_plan:
         A :class:`~repro.serve.faults.FaultPlan` scheduling deterministic
         worker kills/stalls/corruption/slow batches for chaos testing.
@@ -814,9 +719,9 @@ class ServingCluster:
 
     Submitting returns :class:`concurrent.futures.Future`\\ s; asyncio
     callers use :meth:`predict_async` / :meth:`serve_async`.  Use as a
-    context manager (or call :meth:`close`) — shutdown drains every
-    worker's queue, so in-flight futures resolve or fail deterministically,
-    then stops the processes and unlinks the shared memory.
+    context manager (or call :meth:`close`) — shutdown drains the queue, so
+    in-flight futures resolve or fail deterministically, then stops the
+    processes and unlinks the shared memory.
     """
 
     def __init__(
@@ -825,7 +730,6 @@ class ServingCluster:
         workers: int = 2,
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
-        slots: int = 2,
         request_timeout_s: float = 120.0,
         heartbeat_interval_s: float = 1.0,
         start_timeout_s: float = 120.0,
@@ -846,8 +750,6 @@ class ServingCluster:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
         if supervise_interval_s <= 0:
             raise ValueError("supervise_interval_s must be > 0")
         if restart_backoff_s <= 0 or restart_backoff_ceiling_s < restart_backoff_s:
@@ -905,9 +807,9 @@ class ServingCluster:
         self._channels: list[_WorkerChannel] = []
         self._lifecycle = threading.Lock()
         self._closed = False
-        self._rr = 0
-        self._rr_lock = threading.Lock()
+        self._batcher: MicroBatcher | None = None
         self._redispatches = 0
+        self._redispatch_lock = threading.Lock()
         self._stop_supervisor = threading.Event()
         self._supervisor: threading.Thread | None = None
         try:
@@ -918,23 +820,25 @@ class ServingCluster:
                 )
                 self._channels.append(
                     _WorkerChannel(
-                        worker_id, ctx, str(self.bundle_path), slots,
-                        max_batch, window_shape, prediction_shape, dtype,
+                        worker_id, ctx, str(self.bundle_path), max_batch,
+                        window_shape, prediction_shape, dtype,
                         request_timeout_s, heartbeat_interval_s,
                         blas_threads, service_kwargs, schedule,
                     )
                 )
             for channel in self._channels:
                 channel.wait_ready(start_timeout_s)
-            for channel in self._channels:
-                channel.batcher = MicroBatcher(
-                    self._make_predict_fn(channel),
-                    max_batch=max_batch,
-                    max_wait_ms=max_wait_ms,
-                    expected_channels=self.expected_channels,
-                    mask_input=self.mask_input,
-                    max_pending=max_pending,
-                )
+            # One queue, one consumer per worker: a worker pulls the next
+            # batch only when its previous one has returned.
+            self._batcher = MicroBatcher(
+                [partial(self._dispatch, channel) for channel in self._channels],
+                max_batch=max_batch,
+                max_wait_ms=max_wait_ms,
+                expected_channels=self.expected_channels,
+                mask_input=self.mask_input,
+                max_pending=(None if max_pending is None
+                             else max_pending * workers),
+            )
         except Exception:
             self._teardown()
             raise
@@ -1024,7 +928,6 @@ class ServingCluster:
             if channel.alive and channel.last_heartbeat is not None:
                 heartbeat_age = max(0.0, now - channel.last_heartbeat)
             pid = channel.process.pid if channel.process is not None else None
-            pending = channel.batcher.pending if channel.batcher else 0
             workers.append(WorkerHealth(
                 worker_id=channel.worker_id,
                 state=state,
@@ -1033,9 +936,9 @@ class ServingCluster:
                 consecutive_failures=channel.consecutive_failures,
                 backoff_remaining_s=backoff_remaining,
                 heartbeat_age_s=heartbeat_age,
-                pending=pending,
+                pending=channel.inflight,
             ))
-        with self._rr_lock:
+        with self._redispatch_lock:
             redispatches = self._redispatches
         return ClusterHealth(
             num_workers=len(self._channels),
@@ -1044,57 +947,42 @@ class ServingCluster:
             total_restarts=sum(w.restarts for w in workers),
             redispatches=redispatches,
             generation=self._generation,
-            pending=sum(w.pending for w in workers),
+            pending=self._batcher.pending,
             workers=workers,
         )
 
     # ------------------------------------------------------------------ #
-    # Routing
+    # Dispatch
     # ------------------------------------------------------------------ #
-    def _pick_channel(self, exclude=None) -> _WorkerChannel | None:
-        """Next live worker, round-robin; ``None`` when none remain."""
-        with self._rr_lock:
-            start = self._rr
-            self._rr += 1
-        n = len(self._channels)
-        for offset in range(n):
-            channel = self._channels[(start + offset) % n]
-            if channel.alive and channel is not exclude:
-                return channel
-        return None
+    def _dispatch(self, channel: _WorkerChannel,
+                  windows: np.ndarray) -> np.ndarray:
+        """Serve one batch on ``channel``, the consumer that pulled it.
 
-    def _make_predict_fn(self, channel: _WorkerChannel):
-        """The per-worker batched dispatch, with one re-dispatch on death.
-
-        A worker whose process died mid-batch loses nothing but time: the
-        batch is retried once on a live peer (direct dispatch — the peer's
-        own lock serialises it against its micro-batcher).  A worker that
-        merely *timed out* may still complete the forward, so at-most-once
-        forbids the retry and the batch fails with a descriptive error.
-        With no live peer left the batch's futures fail instead of hanging.
+        A batch lost to process death never ran, so it is re-dispatched
+        once, to a live peer (the least busy one).  A worker that merely
+        *timed out* may still complete the forward, so at-most-once forbids
+        the retry and the batch fails with a descriptive error.  With no
+        live peer left the batch's futures fail instead of hanging.
         """
-
-        def predict(windows: np.ndarray) -> np.ndarray:
-            try:
-                return channel.predict(windows)
-            except WorkerDiedError as error:
-                if error.may_have_executed:
-                    raise ClusterError(
-                        f"batch of {windows.shape[0]} timed out on worker "
-                        f"{channel.worker_id} and may still execute; "
-                        "not re-dispatching (at-most-once)"
-                    ) from error
-                peer = self._pick_channel(exclude=channel)
-                if peer is None:
-                    raise ClusterError(
-                        f"batch of {windows.shape[0]} failed: {error}; "
-                        "no live worker left to re-dispatch to"
-                    ) from error
-                with self._rr_lock:
-                    self._redispatches += 1
-                return peer.predict(windows)
-
-        return predict
+        try:
+            return channel.predict(windows)
+        except WorkerDiedError as error:
+            if error.may_have_executed:
+                raise ClusterError(
+                    f"batch of {windows.shape[0]} timed out on worker "
+                    f"{channel.worker_id} and may still execute; "
+                    "not re-dispatching (at-most-once)"
+                ) from error
+            peers = [peer for peer in self._channels
+                     if peer.alive and peer is not channel]
+            if not peers:
+                raise ClusterError(
+                    f"batch of {windows.shape[0]} failed: {error}; "
+                    "no live worker left to re-dispatch to"
+                ) from error
+            with self._redispatch_lock:
+                self._redispatches += 1
+            return min(peers, key=lambda peer: peer.inflight).predict(windows)
 
     # ------------------------------------------------------------------ #
     # Front door
@@ -1103,31 +991,19 @@ class ServingCluster:
                deadline_s: float | None = None) -> Future:
         """Enqueue one ``(h, N, C)`` window; resolves to ``(f, N, ·)``.
 
-        Routed round-robin into one worker's micro-batcher.  ``mask`` and
-        ``deadline_s`` follow the :meth:`MicroBatcher.submit` contract.
-        Under ``max_pending`` pressure, a worker at its watermark is
-        skipped for the next live one; when *every* live worker is
-        saturated the submission is rejected with a typed
-        :class:`~repro.serve.batching.Overloaded` error.  Raises
-        ``RuntimeError`` after :meth:`close` and :class:`ClusterError`
-        when every worker is dead.
+        The window joins the cluster's one queue; the next idle worker
+        takes it in its batch.  ``mask`` and ``deadline_s`` follow the
+        :meth:`MicroBatcher.submit` contract.  Raises a typed
+        :class:`~repro.serve.batching.Overloaded` error when
+        ``max_pending × workers`` requests are already queued,
+        ``RuntimeError`` after :meth:`close` and :class:`ClusterError` when
+        every worker is dead.
         """
-        with self._lifecycle:
-            if self._closed:
-                raise RuntimeError("cannot submit to a closed ServingCluster")
-        last_error: Overloaded | None = None
-        for _ in range(len(self._channels)):
-            channel = self._pick_channel()
-            if channel is None:
-                raise ClusterError("no live workers in the cluster")
-            try:
-                return channel.batcher.submit(window, mask=mask,
-                                              deadline_s=deadline_s)
-            except Overloaded as error:
-                last_error = error
-        raise Overloaded(
-            "every live worker is at its pending watermark; shedding new work"
-        ) from last_error
+        if self._closed:
+            raise RuntimeError("cannot submit to a closed ServingCluster")
+        if not any(channel.alive for channel in self._channels):
+            raise ClusterError("no live workers in the cluster")
+        return self._batcher.submit(window, mask=mask, deadline_s=deadline_s)
 
     def predict(self, window: np.ndarray, mask: np.ndarray | None = None,
                 timeout: float | None = None,
@@ -1181,9 +1057,8 @@ class ServingCluster:
         pool, so a swap is never silently undone by a restart.  Returns the
         cluster's new generation.
         """
-        with self._lifecycle:
-            if self._closed:
-                raise RuntimeError("cannot swap a closed ServingCluster")
+        if self._closed:
+            raise RuntimeError("cannot swap a closed ServingCluster")
         index_set = np.asarray(index_set, dtype=np.int64).ravel()
         with self._swap_lock:
             generations = []
@@ -1222,33 +1097,27 @@ class ServingCluster:
 
     @property
     def stats(self) -> BatchStats:
-        """Cluster-wide batching counters (sum over every worker's batcher)."""
+        """Snapshot of the cluster-wide batching counters of the one queue."""
         total = BatchStats()
-        for channel in self._channels:
-            if channel.batcher is not None:
-                total.merge(channel.batcher.stats)
+        total.merge(self._batcher.stats)
         return total
 
     @property
     def worker_stats(self) -> list[BatchStats]:
-        return [
-            channel.batcher.stats
-            for channel in self._channels
-            if channel.batcher is not None
-        ]
+        """Per-worker counters of the batches each worker executed."""
+        return [channel.stats for channel in self._channels]
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _teardown(self) -> None:
-        for channel in self._channels:
-            if channel.batcher is not None:
-                channel.batcher.close()
+        if self._batcher is not None:
+            self._batcher.close()
         for channel in self._channels:
             channel.shutdown()
 
     def close(self) -> None:
-        """Drain in-flight requests, stop the workers, release the rings.
+        """Drain in-flight requests, stop the workers, release shared memory.
 
         Safe to call repeatedly and from several threads.  Every future
         already submitted resolves (or fails with a descriptive error —

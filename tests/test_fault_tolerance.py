@@ -398,18 +398,52 @@ class TestSupervisedRecovery:
                             supervise=False, fault_plan=plan) as cluster:
             outcomes = {"ok": 0, "corrupt": 0}
             before = cluster.health().redispatches
-            for window in windows[:2]:  # round-robin: one request per worker
+            # Whichever worker is idle takes the next request: send until
+            # both have served at least one batch.
+            for attempt in range(100):
+                if all(stats.num_batches for stats in cluster.worker_stats):
+                    break
                 try:
-                    cluster.predict(window, timeout=60)
+                    cluster.predict(windows[attempt % len(windows)], timeout=60)
                 except RingCorruptionError as error:
                     assert "not retried" in str(error)
                     outcomes["corrupt"] += 1
                 else:
                     outcomes["ok"] += 1
-            # horizon=1 puts both corruptions on ordinal 0: both first
-            # requests come back damaged, and neither was re-dispatched.
+            assert all(stats.num_batches for stats in cluster.worker_stats)
+            # horizon=1 puts both corruptions on ordinal 0: each worker's
+            # first request comes back damaged, and neither was re-dispatched.
             assert outcomes["corrupt"] == 2
             assert cluster.health().redispatches == before
+
+    def test_replies_keep_a_busy_worker_live(self, bundle, windows):
+        """Regression: only idle heartbeats used to count as liveness, so
+        a worker kept busy by back-to-back batches went stale and the
+        supervisor killed it.  Every reply now proves the worker alive."""
+        path, _ = bundle
+        with ServingCluster(path, workers=1, heartbeat_timeout_s=1.5,
+                            supervise=True, supervise_interval_s=0.02) as cluster:
+            stop_at = time.monotonic() + 3.0
+            served, failures = [], []
+
+            def client(window):
+                while time.monotonic() < stop_at:
+                    try:
+                        cluster.predict(window, timeout=60)
+                    except Exception as exc:  # noqa: BLE001 - asserted empty
+                        failures.append(exc)
+                    else:
+                        served.append(1)
+
+            threads = [threading.Thread(target=client, args=(window,))
+                       for window in windows[:2]]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert served
+            assert failures == []
+            assert cluster.health().total_restarts == 0
 
     def test_stall_and_slow_faults_delay_but_serve(self, bundle, windows):
         path, _ = bundle

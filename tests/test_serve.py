@@ -268,6 +268,16 @@ class TestMicroBatcher:
             release.set()
             batcher.close()
 
+    def test_several_consumers_never_wait_for_stragglers(self):
+        """With a second consumer, a lone request is served at once instead
+        of waiting ``max_wait_ms`` for stragglers: the next free consumer
+        serves any straggler immediately."""
+        with MicroBatcher([lambda batch: batch, lambda batch: batch],
+                          max_batch=8, max_wait_ms=5000.0) as batcher:
+            start = time.monotonic()
+            batcher.predict(np.ones((1, 1, 1)), timeout=30)
+            assert time.monotonic() - start < 2.5
+
     def test_fully_cancelled_batch_is_skipped(self):
         entered = threading.Event()
         release = threading.Event()

@@ -16,6 +16,8 @@ non-destructive tests.
 
 import asyncio
 import threading
+import time
+from concurrent.futures import wait
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +38,14 @@ def _different_index_set(frozen, num_nodes):
         if not np.array_equal(candidate, frozen):
             return candidate
     raise AssertionError("no alternative index set exists")
+
+
+def _delayed(predict, seconds):
+    """``predict`` preceded by a parent-side sleep: a slow round-trip."""
+    def slow_predict(windows):
+        time.sleep(seconds)
+        return predict(windows)
+    return slow_predict
 
 
 def _cold_service(bundle_data, index_set):
@@ -74,29 +84,45 @@ def cluster4(bundle):
         yield cluster
 
 
+@pytest.fixture(scope="module")
+def cluster1(bundle):
+    """One worker with room for two windows: every batch reuses the same
+    shared-memory regions, many times over across the parity tests."""
+    path, _ = bundle
+    with ServingCluster(path, workers=1, max_batch=2, max_wait_ms=0.5) as cluster:
+        yield cluster
+
+
+PARITY_CLUSTERS = pytest.mark.parametrize("cluster_name", ["cluster4", "cluster1"])
+
+
 class TestClusterServing:
-    def test_four_workers_match_single_process_bitwise(self, bundle, windows,
-                                                       cluster4):
-        """Batch-1 requests through the 4-worker cluster are bit-identical
-        to ``service.predict`` on the same bundle (same batch size, same
+    @PARITY_CLUSTERS
+    def test_batch1_matches_single_process_bitwise(self, bundle, windows,
+                                                   cluster_name, request):
+        """Batch-1 requests through the cluster are bit-identical to
+        ``service.predict`` on the same bundle (same batch size, same
         rehydrated replica — nothing on the path may perturb a ulp)."""
+        cluster = request.getfixturevalue(cluster_name)
         path, _ = bundle
         service = ForecastService.from_checkpoint(path)
         for window in windows:
-            served = cluster4.predict(window, timeout=60)
+            served = cluster.predict(window, timeout=60)
             reference = service.predict(window[None])[0]
             assert np.array_equal(served, reference)
 
+    @PARITY_CLUSTERS
     def test_concurrent_burst_is_served_in_order(self, bundle, windows,
-                                                 cluster4):
+                                                 cluster_name, request):
+        cluster = request.getfixturevalue(cluster_name)
         path, _ = bundle
         service = ForecastService.from_checkpoint(path)
-        before = cluster4.stats.num_requests
-        futures = [cluster4.submit(window) for window in windows]
+        before = cluster.stats.num_requests
+        futures = [cluster.submit(window) for window in windows]
         results = np.stack([future.result(timeout=60) for future in futures])
         reference = service.predict(windows)
         assert np.allclose(results, reference, atol=1e-9)
-        assert cluster4.stats.num_requests - before == len(windows)
+        assert cluster.stats.num_requests - before == len(windows)
 
     def test_async_front_door_gathers_in_order(self, bundle, windows,
                                                cluster4):
@@ -105,21 +131,41 @@ class TestClusterServing:
         results = asyncio.run(cluster4.serve_async(windows))
         assert np.allclose(results, service.predict(windows), atol=1e-9)
 
-    def test_burst_spreads_over_every_worker(self, cluster4, windows):
-        threads = []
+    def test_burst_spreads_over_every_worker(self, cluster4, windows,
+                                             monkeypatch):
+        """Each round-trip is slowed so that a worker stays busy while the
+        burst is still queued: no single consumer can take the whole burst,
+        so every worker must serve part of it."""
+        for channel in cluster4._channels:
+            monkeypatch.setattr(channel, "predict",
+                                _delayed(channel.predict, 0.2))
+        before = [stats.num_requests for stats in cluster4.worker_stats]
+        futures = [cluster4.submit(window) for window in windows for _ in range(2)]
+        for future in futures:
+            future.result(timeout=60)
+        after = [stats.num_requests for stats in cluster4.worker_stats]
+        served = [a - b for a, b in zip(after, before)]
+        assert sum(served) == len(futures)
+        assert all(count > 0 for count in served)
 
-        def client(window):
-            cluster4.predict(window, timeout=60)
-
-        for window in windows:
-            for _ in range(2):
-                threads.append(threading.Thread(target=client, args=(window,)))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        per_worker = [stats.num_requests for stats in cluster4.worker_stats]
-        assert all(count > 0 for count in per_worker)
+    def test_idle_worker_never_waits_behind_a_slow_one(self, bundle, windows,
+                                                       monkeypatch):
+        """Work pulling: with one worker's round-trip slowed by 1 s, the
+        idle peer takes every other request, so at least 9 of 10 resolve
+        within 0.5 s instead of half of them queueing behind the slow one."""
+        path, _ = bundle
+        with ServingCluster(path, workers=2, max_batch=1, max_wait_ms=0.0,
+                            supervise=False) as cluster:
+            cluster.predict(windows[0], timeout=60)
+            slow = cluster._channels[0]
+            monkeypatch.setattr(slow, "predict", _delayed(slow.predict, 1.0))
+            start = time.monotonic()
+            futures = [cluster.submit(window) for window in windows[:10]]
+            done, _ = wait(futures,
+                           timeout=max(0.0, 0.5 - (time.monotonic() - start)))
+            assert len(done) >= 9
+            for future in futures:
+                future.result(timeout=60)
 
     def test_mask_for_maskless_bundle_is_rejected(self, cluster4, windows):
         with pytest.raises(ValueError, match="mask"):
@@ -134,8 +180,6 @@ class TestClusterServing:
         path, _ = bundle
         with pytest.raises(ValueError):
             ServingCluster(path, workers=0)
-        with pytest.raises(ValueError):
-            ServingCluster(path, workers=1, slots=0)
 
 
 class TestClusterFaults:
@@ -206,49 +250,6 @@ class TestClusterFaults:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
-
-
-class TestRingWraparound:
-    def test_sustained_load_wraps_slots_without_reuse_while_unread(
-            self, bundle, windows):
-        """Serve far more requests than ``slots x max_batch`` through one
-        worker and use the channel trace hook to prove the ring invariant:
-        a slot is never re-dispatched while its previous response is still
-        unread.  Sequential batch-1 requests stay bit-identical to the
-        single-process service; the concurrent burst (which coalesces into
-        larger micro-batches) stays within float64 round-off of it."""
-        path, _ = bundle
-        events = []
-        with ServingCluster(path, workers=1, slots=2, max_batch=2,
-                            max_wait_ms=0.5) as cluster:
-            channel = cluster._channels[0]
-            channel.trace = (
-                lambda kind, seq, slot, batch: events.append((kind, seq, slot))
-            )
-            service = ForecastService.from_checkpoint(path)
-            for window in windows:  # 12 sequential requests > 2 x 2 capacity
-                served = cluster.predict(window, timeout=60)
-                assert np.array_equal(served, service.predict(window[None])[0])
-            futures = [cluster.submit(window) for window in windows]
-            results = np.stack([future.result(timeout=60) for future in futures])
-            assert np.allclose(results, service.predict(windows), atol=1e-9)
-
-        outstanding = {}
-        dispatches_per_slot = {}
-        for kind, seq, slot in events:
-            if kind == "dispatch":
-                assert outstanding.get(slot) is None, (
-                    f"slot {slot} re-dispatched while seq "
-                    f"{outstanding[slot]} was still unread"
-                )
-                outstanding[slot] = seq
-                dispatches_per_slot[slot] = dispatches_per_slot.get(slot, 0) + 1
-            else:
-                assert kind == "complete"
-                assert outstanding.get(slot) == seq
-                outstanding[slot] = None
-        assert sum(dispatches_per_slot.values()) >= len(windows)
-        assert max(dispatches_per_slot.values()) > 1  # the ring really wrapped
 
 
 class TestClusterHotSwap:
