@@ -13,22 +13,25 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+# Regenerated tables land in a git-ignored directory, so a test run never
+# rewrites the reference copies committed in ``benchmarks/results/``.
+RESULTS_DIR = Path(__file__).parent / "results" / "latest"
 
 
 @pytest.fixture(autouse=True)
 def record_regenerated_tables(request, capsys):
-    """Persist each benchmark's printed table/figure under ``benchmarks/results/``.
+    """Persist each benchmark's printed table/figure under ``benchmarks/results/latest/``.
 
     pytest captures stdout, so the regenerated tables would otherwise be
     invisible in a default ``--benchmark-only`` run; this fixture writes them
-    to one text file per benchmark (consumed by EXPERIMENTS.md) and re-emits
-    them so ``-s`` runs still show them inline.
+    to one text file per benchmark (compare with the committed
+    ``benchmarks/results/*.txt``) and re-emits them so ``-s`` runs still show
+    them inline.
     """
     yield
     captured = capsys.readouterr()
     if captured.out.strip():
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         (RESULTS_DIR / f"{request.node.name}.txt").write_text(captured.out)
         sys.stdout.write(captured.out)
 

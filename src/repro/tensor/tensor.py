@@ -2,9 +2,13 @@
 
 The design follows the classic tape-less "define-by-run" approach: every
 differentiable operation returns a new :class:`Tensor` holding references to
-its parents and a closure that accumulates gradients into them.  Calling
-:meth:`Tensor.backward` performs a topological sort of the recorded graph and
-executes the closures in reverse order.
+its parents and a closure that maps the gradient of its output to one
+contribution per parent.  Calling :meth:`Tensor.backward` performs a
+topological sort of the recorded graph, executes the closures in reverse
+order and sums the contributions reaching each node.  Only leaves — tensors
+that require grad and were not produced by an operation, such as parameters
+and inputs — keep the result in ``.grad``; the gradient of an intermediate
+tensor lives only for the duration of the pass.
 
 Only the operations required by the SAGDFN model, its baselines, and the
 benchmark harness are implemented, but each of them supports full NumPy
@@ -71,6 +75,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _positions_are_distinct(index) -> bool:
+    """Whether ``x[index]`` reads every position of ``x`` at most once.
+
+    True for basic indices (ints, slices, ``Ellipsis``, ``None``) combined
+    with at most one 1-D integer array whose entries are distinct and
+    non-negative; the scatter in the backward of ``x[index]`` may then assign
+    instead of accumulating.  Anything else (repeated or negative entries,
+    boolean masks, several or multi-dimensional arrays) returns False.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    seen_array = False
+    for item in items:
+        if item is None or item is Ellipsis or isinstance(item, slice):
+            continue
+        if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
+            continue
+        if (
+            seen_array
+            or not isinstance(item, np.ndarray)
+            or item.ndim != 1
+            or item.dtype.kind not in "iu"
+        ):
+            return False
+        seen_array = True
+        if item.size and (item.min() < 0 or np.unique(item).size != item.size):
+            return False
+    return True
+
+
 class Tensor:
     """An n-dimensional array with reverse-mode automatic differentiation.
 
@@ -80,8 +113,9 @@ class Tensor:
         Anything convertible to a NumPy array (nested lists, scalars, arrays,
         another :class:`Tensor`).
     requires_grad:
-        When ``True`` the tensor participates in the autograd graph and its
-        ``grad`` attribute is populated by :meth:`backward`.
+        When ``True`` the tensor participates in the autograd graph; if it is
+        a leaf (not produced by an operation) its ``grad`` attribute is
+        populated by :meth:`backward`.
     name:
         Optional human-readable label used in ``repr`` and error messages.
     dtype:
@@ -188,10 +222,7 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's ``.grad`` buffer."""
-        if not self.requires_grad:
-            return
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        """Add ``grad`` (already of this tensor's shape and dtype) into ``.grad``."""
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -202,6 +233,15 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def backward(self, grad: np.ndarray | float | None = None) -> None:
         """Back-propagate gradients from this tensor through the graph.
+
+        Each operation's closure returns one gradient contribution per
+        parent.  A contribution is reduced to its parent's shape and cast to
+        its dtype once, then added into the parent's ``.grad`` if the parent
+        is a leaf (requires grad, produced by no operation), or into a map
+        local to this call otherwise.  So after the pass ``.grad`` is set on
+        leaves only — intermediate tensors keep ``.grad is None`` — and
+        repeated calls keep adding into the leaves' ``.grad`` until
+        :meth:`zero_grad`.
 
         Parameters
         ----------
@@ -221,6 +261,9 @@ class Tensor:
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             grad = np.broadcast_to(grad, self.data.shape).copy()
+        if self._backward is None:  # a leaf: nothing to propagate
+            self._accumulate(grad)
+            return
 
         # Topological order of the graph reachable from ``self``.
         order: list[Tensor] = []
@@ -239,12 +282,11 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        # Seed and propagate.
+        # Seed and propagate; only leaves (no ``_backward``) keep a ``.grad``.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        self._accumulate(grad)
         for node in reversed(order):
             node_grad = grads.pop(id(node), None)
-            if node_grad is None or node._backward is None:
+            if node_grad is None:
                 continue
             contributions = node._backward(node_grad)
             for parent, contribution in zip(node._parents, contributions):
@@ -253,8 +295,9 @@ class Tensor:
                 contribution = _unbroadcast(
                     np.asarray(contribution, dtype=parent.data.dtype), parent.data.shape
                 )
-                parent._accumulate(contribution)
-                if id(parent) in grads:
+                if parent._backward is None:
+                    parent._accumulate(contribution)
+                elif id(parent) in grads:
                     grads[id(parent)] = grads[id(parent)] + contribution
                 else:
                     grads[id(parent)] = contribution
@@ -580,7 +623,10 @@ class Tensor:
 
         def backward(grad):
             full = np.zeros(original_shape, dtype=dtype)
-            np.add.at(full, index, grad)
+            if _positions_are_distinct(index):
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
             return (full,)
 
         return Tensor._make(data, (self,), backward)
